@@ -73,6 +73,11 @@ pub struct LeveledPramEmulator<L: Leveled + Copy> {
     req_engine: AnyEngine,
     /// Reply-phase engine, likewise persistent.
     rep_engine: AnyEngine,
+    /// `(value, proc)` of every request, indexed by request id (reads
+    /// hold a placeholder) — refilled each attempt, capacity kept.
+    write_vals: Vec<(u64, usize)>,
+    /// This step's value of every address read, likewise reused.
+    read_values: HashMap<u64, u64>,
 }
 
 impl<L: Leveled + Copy> LeveledPramEmulator<L> {
@@ -138,6 +143,8 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
             bwd,
             req_engine,
             rep_engine,
+            write_vals: Vec::new(),
+            read_values: HashMap::new(),
         }
     }
 
@@ -275,7 +282,7 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
         self.req_engine.reset();
         self.req_engine.set_max_steps(budget);
         let mut via_rng = attempt_seq.child(0).rng();
-        let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
+        self.write_vals.clear();
         for (id, req) in requests.iter().enumerate() {
             let module = self.hash.eval(req.addr) as u32;
             let via = via_rng.gen_range(0..width) as u32;
@@ -283,9 +290,7 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
                 .with_via(via)
                 .with_tag(req.addr);
             pkt.phase = u8::from(req.write.is_some());
-            if let Some(v) = req.write {
-                write_vals.insert(id as u32, (v, req.proc));
-            }
+            self.write_vals.push((req.write.unwrap_or(0), req.proc));
             self.req_engine.inject(self.fwd.node_id(0, req.proc), pkt);
         }
         let combining = self.cfg.combining;
@@ -295,13 +300,14 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
                 tables,
                 modules,
                 req_engine,
+                write_vals,
                 ..
             } = self;
             let mut proto = RequestProtocol {
                 net: &*fwd,
                 tables,
                 modules,
-                write_vals: &mut write_vals,
+                write_vals,
                 combining,
                 write_merges: 0,
             };
@@ -324,26 +330,27 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
             return Some(Vec::new());
         }
         self.rep_engine.reset();
-        let mut read_values: HashMap<u64, u64> = HashMap::new();
-        for &(module, addr, trail, value) in &reads {
-            read_values.insert(addr, value);
+        self.read_values.clear();
+        for &(module, addr, trail, value) in reads {
+            self.read_values.insert(addr, value);
             let mut pkt = Packet::new(0, trail, 0).with_tag(addr);
             pkt.via = trail;
             self.rep_engine
                 .inject(self.bwd.node_id(2 * self.inner.levels(), module), pkt);
         }
-        let mut deliveries: Vec<(usize, u64)> = Vec::new();
+        let mut deliveries = Vec::with_capacity(requests.len());
         {
             let Self {
                 bwd,
                 tables,
                 rep_engine,
+                read_values,
                 ..
             } = self;
             let mut proto = ReplyProtocol {
                 net: &*bwd,
                 tables,
-                read_values: &read_values,
+                read_values,
                 deliveries: &mut deliveries,
             };
             let out = rep_engine.run(&mut proto);
@@ -382,7 +389,7 @@ struct RequestProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
-    write_vals: &'a mut HashMap<u32, (u64, usize)>,
+    write_vals: &'a mut [(u64, usize)],
     combining: bool,
     /// Same-step write merges performed (footnote 3 applied to writes).
     write_merges: u32,
@@ -456,29 +463,29 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
             return;
         };
         // First same-address write in batch order becomes the
-        // representative; later ones fold their (value, proc) into it.
-        let mut rep_of: HashMap<u64, usize> = HashMap::new();
-        let mut merged: Vec<Option<Packet>> = pkts.iter().copied().map(Some).collect();
+        // representative; later ones fold their (value, proc) into it. A
+        // node's arrivals in one step are at most its in-degree, so a scan
+        // of the earlier arrivals finds the representative.
+        let rep_of = |i: usize| {
+            let pkt = pkts[i];
+            (pkt.phase == 1)
+                .then(|| pkts[..i].iter().find(|p| p.phase == 1 && p.tag == pkt.tag))
+                .flatten()
+        };
         for (i, pkt) in pkts.iter().enumerate() {
-            if pkt.phase != 1 {
-                continue; // reads go through the pending tables as usual
-            }
-            match rep_of.entry(pkt.tag) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let rep = pkts[*e.get()];
-                    let a = self.write_vals[&rep.id];
-                    let b = self.write_vals[&pkt.id];
-                    self.write_vals.insert(rep.id, Self::merge(policy, a, b));
-                    merged[i] = None;
-                    self.write_merges += 1;
-                }
+            if let Some(rep) = rep_of(i) {
+                let (a, b) = (
+                    self.write_vals[rep.id as usize],
+                    self.write_vals[pkt.id as usize],
+                );
+                self.write_vals[rep.id as usize] = Self::merge(policy, a, b);
+                self.write_merges += 1;
             }
         }
-        for pkt in merged.into_iter().flatten() {
-            self.on_packet(node, pkt, step, out);
+        for (i, &pkt) in pkts.iter().enumerate() {
+            if rep_of(i).is_none() {
+                self.on_packet(node, pkt, step, out);
+            }
         }
     }
 
@@ -492,7 +499,7 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
         if col == lv.levels() {
             // Module column.
             if is_write {
-                let (value, proc) = self.write_vals[&pkt.id];
+                let (value, proc) = self.write_vals[pkt.id as usize];
                 self.modules
                     .buffer(idx, ModuleRequest::Write { addr, value, proc });
                 out.deliver(pkt);
@@ -550,7 +557,8 @@ impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
             self.deliveries.push((idx, self.read_values[&addr]));
         }
         let mut sent = false;
-        for &to in &entry.fanout {
+        let mut fanout = entry.fanout;
+        while let Some(to) = self.tables.next(&mut fanout) {
             let port = self
                 .net
                 .port_to(node, to as usize)

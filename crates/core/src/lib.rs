@@ -13,8 +13,9 @@
 //! rehashing rule (§2.1).
 //!
 //! * [`config`] — emulator parameters and per-step/aggregate statistics.
-//! * [`combining`] — the CRCW packet-combining tables: per-node pending
-//!   entries with fan-out "direction bits" (footnote 3 of the paper);
+//! * [`combining`] — the CRCW packet-combining table: pending entries
+//!   keyed by `(node, address, trail)` with fan-out "direction bits"
+//!   (footnote 3 of the paper), stored flat so a step allocates nothing;
 //!   concurrent reads of one cell collapse to a single request and the
 //!   reply fans back out along the recorded ports.
 //! * [`memory`] — the distributed memory modules with batch service and

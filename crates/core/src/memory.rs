@@ -43,6 +43,12 @@ pub struct ModuleArray {
     mode: AccessMode,
     batches: Vec<Vec<ModuleRequest>>,
     violations: Vec<AccessViolation>,
+    /// Reads served by the last [`Self::serve_batches`].
+    reads: Vec<(usize, u64, u32, u64)>,
+    /// One module's writes as `(addr, batch position, proc, value)`.
+    writes: Vec<(u64, u32, usize, u64)>,
+    /// The `(proc, value)` writers of one address, in batch order.
+    writers: Vec<(usize, u64)>,
 }
 
 impl ModuleArray {
@@ -53,6 +59,9 @@ impl ModuleArray {
             mode,
             batches: vec![Vec::new(); modules],
             violations: Vec::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            writers: Vec::new(),
         }
     }
 
@@ -98,33 +107,46 @@ impl ModuleArray {
     /// Serve every module's batch: reads first (pre-write values), then
     /// writes (CRCW resolution). Returns the read results as
     /// `(module, addr, trail, value)` and the busiest module's batch size
-    /// (the serial service time charged to this PRAM step).
-    pub fn serve_batches(&mut self) -> (Vec<(usize, u64, u32, u64)>, u32) {
-        let mut reads = Vec::new();
+    /// (the serial service time charged to this PRAM step). Every buffer
+    /// involved keeps its capacity for the next step.
+    pub fn serve_batches(&mut self) -> (&[(usize, u64, u32, u64)], u32) {
+        let ModuleArray {
+            cells,
+            mode,
+            batches,
+            violations,
+            reads,
+            writes,
+            writers,
+        } = self;
+        reads.clear();
         let mut busiest = 0u32;
-        for module in 0..self.cells.len() {
-            let batch = std::mem::take(&mut self.batches[module]);
+        for (module, (batch, cells)) in batches.iter_mut().zip(cells.iter_mut()).enumerate() {
             busiest = busiest.max(batch.len() as u32);
             // Read phase.
-            for req in &batch {
-                if let ModuleRequest::Read { addr, trail } = *req {
-                    let value = self.cells[module].get(&addr).copied().unwrap_or(0);
-                    reads.push((module, addr, trail, value));
+            writes.clear();
+            for (pos, req) in batch.iter().enumerate() {
+                match *req {
+                    ModuleRequest::Read { addr, trail } => {
+                        let value = cells.get(&addr).copied().unwrap_or(0);
+                        reads.push((module, addr, trail, value));
+                    }
+                    ModuleRequest::Write { addr, value, proc } => {
+                        writes.push((addr, pos as u32, proc, value));
+                    }
                 }
             }
-            // Write phase: group by address, resolve by policy.
-            let mut writes: HashMap<u64, Vec<(usize, u64)>> = HashMap::new();
-            for req in &batch {
-                if let ModuleRequest::Write { addr, value, proc } = *req {
-                    writes.entry(addr).or_default().push((proc, value));
-                }
-            }
-            let mut addrs: Vec<u64> = writes.keys().copied().collect();
-            addrs.sort_unstable();
-            for addr in addrs {
-                let winners = &writes[&addr];
-                let value = resolve_write(self.mode, addr, winners, &mut self.violations);
-                self.cells[module].insert(addr, value);
+            batch.clear();
+            // Write phase: resolve each address in increasing order, its
+            // writers in batch order (sorting by batch position too makes
+            // the unstable sort stable, so Common keeps its first writer).
+            writes.sort_unstable_by_key(|&(addr, pos, ..)| (addr, pos));
+            for group in writes.chunk_by(|a, b| a.0 == b.0) {
+                let addr = group[0].0;
+                writers.clear();
+                writers.extend(group.iter().map(|&(_, _, proc, value)| (proc, value)));
+                let value = resolve_write(*mode, addr, writers, violations);
+                cells.insert(addr, value);
             }
         }
         (reads, busiest)
@@ -206,6 +228,26 @@ mod tests {
             },
         );
         ma.serve_batches();
+        assert_eq!(ma.violations().len(), 1);
+    }
+
+    #[test]
+    fn common_keeps_the_first_writer_in_batch_order() {
+        let mut ma = ModuleArray::new(1, AccessMode::Crcw(WritePolicy::Common));
+        for (addr, value, proc) in [(1, 7, 5), (0, 3, 2), (1, 8, 1), (1, 7, 0)] {
+            ma.buffer(0, ModuleRequest::Write { addr, value, proc });
+        }
+        let (reads, busiest) = ma.serve_batches();
+        assert!(reads.is_empty());
+        assert_eq!(busiest, 4);
+        assert_eq!(ma.peek(0, 1), 7, "first writer in batch order wins");
+        assert_eq!(ma.peek(0, 0), 3);
+        assert_eq!(
+            ma.violations(),
+            &[AccessViolation::CommonMismatch { addr: 1 }]
+        );
+        // The batch is consumed; serving again changes nothing.
+        assert_eq!(ma.serve_batches().1, 0);
         assert_eq!(ma.violations().len(), 1);
     }
 

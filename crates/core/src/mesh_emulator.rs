@@ -35,7 +35,6 @@ use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Mesh, Network};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// How shared addresses map to mesh nodes.
 #[derive(Debug, Clone)]
@@ -75,6 +74,9 @@ pub struct MeshPramEmulator {
     /// discipline); recycled with `reset` per phase. Serial or sharded
     /// into row bands per [`EmulatorConfig::shards`].
     engine: AnyEngine,
+    /// `(value, proc)` of every request, indexed by request id (reads
+    /// hold a placeholder) — refilled each attempt, capacity kept.
+    write_vals: Vec<(u64, usize)>,
 }
 
 impl MeshPramEmulator {
@@ -117,6 +119,7 @@ impl MeshPramEmulator {
             hash_epoch: 0,
             report: EmuReport::default(),
             engine,
+            write_vals: Vec::new(),
         }
     }
 
@@ -268,7 +271,7 @@ impl MeshPramEmulator {
             self.engine.reset();
             self.engine.set_max_steps(budget);
             let mut via_rng = attempt_seq.child(0).rng();
-            let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
+            self.write_vals.clear();
             for (id, req) in requests.iter().enumerate() {
                 let module = self.module_of(req.addr) as u32;
                 let (r, c) = self.mesh.coords(req.proc);
@@ -281,18 +284,19 @@ impl MeshPramEmulator {
                     .with_tag(req.addr);
                 pkt.phase = 0;
                 pkt.hop = u8::from(req.write.is_some()); // request kind flag
-                if let Some(v) = req.write {
-                    write_vals.insert(id as u32, (v, req.proc));
-                }
+                self.write_vals.push((req.write.unwrap_or(0), req.proc));
                 self.engine.inject(req.proc, pkt);
             }
             let Self {
-                modules, engine, ..
+                modules,
+                engine,
+                write_vals,
+                ..
             } = self;
             let mut proto = MeshRequestProtocol {
                 router: MeshRouter::new(mesh, alg),
                 modules,
-                write_vals: &write_vals,
+                write_vals,
             };
             let out = engine.run(&mut proto);
             if !out.completed {
@@ -312,12 +316,12 @@ impl MeshPramEmulator {
             stats.service_steps = busiest;
 
             // ---- Reply phase (three-stage routing back) ----
-            let mut deliveries: Vec<(usize, u64)> = Vec::new();
+            let mut deliveries = Vec::with_capacity(requests.len());
             if !reads.is_empty() {
                 self.engine.reset();
                 self.engine.set_max_steps(u32::MAX);
                 let mut via_rng = attempt_seq.child(1).rng();
-                for (i, &(module, addr, trail, value)) in reads.iter().enumerate() {
+                for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
                     let (r, c) = self.mesh.coords(module);
                     let lo = r - r % self.slice_rows;
                     let hi = (lo + self.slice_rows).min(self.mesh.rows());
@@ -328,16 +332,11 @@ impl MeshPramEmulator {
                         .with_via2(block_via2(trail as usize, &mut via_rng))
                         .with_tag(addr);
                     pkt.phase = 0;
-                    let _ = value; // value delivered via lookup below
                     self.engine.inject(module, pkt);
                 }
-                let values: HashMap<(u64, u32), u64> = reads
-                    .iter()
-                    .map(|&(_, addr, trail, value)| ((addr, trail), value))
-                    .collect();
                 let mut proto = MeshReplyProtocol {
                     router: MeshRouter::new(mesh, alg),
-                    values: &values,
+                    reads,
                     deliveries: &mut deliveries,
                 };
                 let out = self.engine.run(&mut proto);
@@ -381,7 +380,7 @@ impl MeshPramEmulator {
 struct MeshRequestProtocol<'a> {
     router: MeshRouter,
     modules: &'a mut ModuleArray,
-    write_vals: &'a HashMap<u32, (u64, usize)>,
+    write_vals: &'a [(u64, usize)],
 }
 
 impl Protocol for MeshRequestProtocol<'_> {
@@ -389,7 +388,7 @@ impl Protocol for MeshRequestProtocol<'_> {
         if node == pkt.dest as usize {
             let addr = pkt.tag;
             if pkt.hop == 1 {
-                let (value, proc) = self.write_vals[&pkt.id];
+                let (value, proc) = self.write_vals[pkt.id as usize];
                 self.modules
                     .buffer(node, ModuleRequest::Write { addr, value, proc });
             } else {
@@ -411,14 +410,15 @@ impl Protocol for MeshRequestProtocol<'_> {
 /// Reply routing: plain three-stage delivery back to the requester.
 struct MeshReplyProtocol<'a> {
     router: MeshRouter,
-    values: &'a HashMap<(u64, u32), u64>,
+    /// The served reads; a reply packet's id indexes its read.
+    reads: &'a [(usize, u64, u32, u64)],
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
 impl Protocol for MeshReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
-            let value = self.values[&(pkt.tag, pkt.dest)];
+            let value = self.reads[pkt.id as usize].3;
             self.deliveries.push((node, value));
             out.deliver(pkt);
             return;

@@ -50,6 +50,11 @@ pub struct StarPramEmulator {
     /// sharded (greedy edge-cut — the star has no level/row structure)
     /// per [`EmulatorConfig::shards`].
     engine: AnyEngine,
+    /// `(value, proc)` of every request, indexed by request id (reads
+    /// hold a placeholder) — refilled each attempt, capacity kept.
+    write_vals: Vec<(u64, usize)>,
+    /// This step's value of every address read, likewise reused.
+    read_values: HashMap<u64, u64>,
 }
 
 impl StarPramEmulator {
@@ -88,6 +93,8 @@ impl StarPramEmulator {
             hash_epoch: 0,
             report: EmuReport::default(),
             engine,
+            write_vals: Vec::new(),
+            read_values: HashMap::new(),
         }
     }
 
@@ -193,7 +200,7 @@ impl StarPramEmulator {
             self.engine.reset();
             self.engine.set_max_steps(budget);
             let mut via_rng = attempt_seq.child(0).rng();
-            let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
+            self.write_vals.clear();
             for (id, req) in requests.iter().enumerate() {
                 let module = self.module_of(req.addr) as u32;
                 let via = via_rng.gen_range(0..self.processors()) as u32;
@@ -201,9 +208,7 @@ impl StarPramEmulator {
                     .with_via(via)
                     .with_tag(req.addr);
                 pkt.hop = u8::from(req.write.is_some()); // request-kind flag
-                if let Some(v) = req.write {
-                    write_vals.insert(id as u32, (v, req.proc));
-                }
+                self.write_vals.push((req.write.unwrap_or(0), req.proc));
                 self.engine.inject(req.proc, pkt);
             }
             {
@@ -212,13 +217,14 @@ impl StarPramEmulator {
                     tables,
                     modules,
                     engine,
+                    write_vals,
                     ..
                 } = self;
                 let mut proto = StarRequestProtocol {
                     star: *star,
                     tables,
                     modules,
-                    write_vals: &write_vals,
+                    write_vals,
                     combining: self.cfg.combining,
                 };
                 let out = engine.run(&mut proto);
@@ -241,13 +247,13 @@ impl StarPramEmulator {
             stats.service_steps = busiest;
 
             // ---- Reply phase (retrace trees; SWAP ports are involutions) ----
-            let mut deliveries: Vec<(usize, u64)> = Vec::new();
+            let mut deliveries = Vec::with_capacity(requests.len());
             if !reads.is_empty() {
                 self.engine.reset();
                 self.engine.set_max_steps(u32::MAX);
-                let mut read_values: HashMap<u64, u64> = HashMap::new();
-                for &(module, addr, trail, value) in &reads {
-                    read_values.insert(addr, value);
+                self.read_values.clear();
+                for &(module, addr, trail, value) in reads {
+                    self.read_values.insert(addr, value);
                     let mut pkt = Packet::new(0, 0, 0).with_tag(addr);
                     pkt.via = trail;
                     self.engine.inject(module, pkt);
@@ -256,12 +262,13 @@ impl StarPramEmulator {
                     star,
                     tables,
                     engine,
+                    read_values,
                     ..
                 } = self;
                 let mut proto = StarReplyProtocol {
                     star: *star,
                     tables,
-                    read_values: &read_values,
+                    read_values,
                     deliveries: &mut deliveries,
                 };
                 let out = engine.run(&mut proto);
@@ -299,7 +306,7 @@ struct StarRequestProtocol<'a> {
     star: StarGraph,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
-    write_vals: &'a HashMap<u32, (u64, usize)>,
+    write_vals: &'a [(u64, usize)],
     combining: bool,
 }
 
@@ -335,7 +342,7 @@ impl Protocol for StarRequestProtocol<'_> {
                 pkt.phase = 1;
             }
             if pkt.phase == 1 && node == pkt.dest as usize {
-                let (value, proc) = self.write_vals[&pkt.id];
+                let (value, proc) = self.write_vals[pkt.id as usize];
                 self.modules
                     .buffer(node, ModuleRequest::Write { addr, value, proc });
                 out.deliver(pkt);
@@ -419,10 +426,12 @@ impl StarReplyProtocol<'_> {
         if entry.local {
             self.deliveries.push((node, self.read_values[&addr]));
         }
-        for t in entry.chains {
+        let mut chains = entry.chains;
+        while let Some(t) = self.tables.next(&mut chains) {
             self.process_trail(node, addr, t, pkt, out);
         }
-        for to in entry.fanout {
+        let mut fanout = entry.fanout;
+        while let Some(to) = self.tables.next(&mut fanout) {
             let port = self
                 .star
                 .port_to(node, to as usize)

@@ -3,9 +3,11 @@
 //! The Karlin–Upfal hash family (paper §2.1) evaluates degree-`S−1`
 //! polynomials over `Z_P` for a prime `P ≥ M` where `M` is the PRAM address
 //! space, so all operations must be exact for moduli up to `2^63`. We route
-//! products through `u128`, which on x86-64 compiles to a single `mul` plus
-//! a hardware divide — fast enough for the hash-evaluation hot path (see the
-//! `hash_eval` Criterion bench).
+//! products through `u128`, whose `%` is a call into the compiler's 128-bit
+//! division routine — several times the cost of a native 64-bit divide.
+//! [`horner`], the hash-evaluation hot path (see the `hash_eval` Criterion
+//! bench), therefore stays in `u64` whenever the modulus is below `2^32`,
+//! which covers the address spaces the emulators use in practice.
 
 /// `(a + b) mod m`. Requires `m > 0`; operands need not be reduced.
 #[inline]
@@ -77,6 +79,17 @@ pub fn horner(coeffs: &[u64], x: u64, m: u64) -> u64 {
     debug_assert!(m > 0);
     let x = x % m;
     let mut acc: u64 = 0;
+    if m < 1 << 32 {
+        // acc, x, c mod m are all < m ≤ 2^32 − 1, so acc·x + c mod m is
+        // at most (m−1)·m < 2^64: one multiply-add and one `%` per
+        // coefficient. Coefficients are sampled below m, so the reduction
+        // of c is almost always skipped.
+        for &c in coeffs.iter().rev() {
+            let c = if c < m { c } else { c % m };
+            acc = (acc * x + c) % m;
+        }
+        return acc;
+    }
     for &c in coeffs.iter().rev() {
         acc = addmod(mulmod(acc, x, m), c, m);
     }
@@ -137,6 +150,27 @@ mod tests {
         assert_eq!(horner(&[], 5, 13), 0);
     }
 
+    /// Horner's rule through `u128` at every step — the reference for the
+    /// `u64` fast path.
+    fn horner_u128(coeffs: &[u64], x: u64, m: u64) -> u64 {
+        let m = m as u128;
+        let x = x as u128 % m;
+        coeffs
+            .iter()
+            .rev()
+            .fold(0u128, |acc, &c| (acc * x + c as u128) % m) as u64
+    }
+
+    #[test]
+    fn horner_at_the_fast_path_boundary() {
+        let top = [u64::MAX, u64::MAX - 1, 1 << 32, (1 << 32) - 1, 0];
+        for m in [(1u64 << 32) - 5, (1 << 32) - 1, 1 << 32, (1 << 32) + 1] {
+            for x in [0, 1, m - 1, m, u64::MAX] {
+                assert_eq!(horner(&top, x, m), horner_u128(&top, x, m), "m={m} x={x}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_addmod_matches_u128(a: u64, b: u64, m in 1u64..) {
@@ -154,6 +188,22 @@ mod tests {
         fn prop_sub_add_roundtrip(a: u64, b: u64, m in 1u64..) {
             let d = submod(a, b, m);
             prop_assert_eq!(addmod(d, b, m), a % m);
+        }
+
+        #[test]
+        fn prop_horner_matches_u128(
+            coeffs in (0usize..8, any::<u64>()).prop_map(|(n, seed)| {
+                let mut rng = crate::rng::SeedSeq::new(seed).rng();
+                (0..n).map(|_| rand::Rng::gen::<u64>(&mut rng)).collect::<Vec<u64>>()
+            }),
+            x: u64,
+            m in prop_oneof![
+                1u64..1 << 32,
+                (1u64 << 32) - 1000..(1 << 32) + 1000,
+                1u64..,
+            ],
+        ) {
+            prop_assert_eq!(horner(&coeffs, x, m), horner_u128(&coeffs, x, m));
         }
 
         #[test]
