@@ -6,52 +6,79 @@
 //! receives a reply" (footnote 3: any number of same-destination arrivals
 //! combine in unit time).
 //!
-//! We realise this with one *pending table* for the whole network, keyed
-//! by `(node, address, trail)`: the first read request for a key at a
-//! node is forwarded and opens an entry; later requests for the same key
-//! at that node are absorbed, appending their arrival direction to the
-//! entry's fan-out list (those are the direction bits). The read reply
-//! retraces the request tree in reverse: at each node it takes the entry
-//! and emits one copy per recorded direction, in registration order, plus
-//! a local delivery if this node's own processor requested the cell.
+//! **Entries and handles.** Every node a read request passes through
+//! holds a *pending entry* for it, addressed by a [`Handle`] (its slot
+//! index). The first request for an address at a node opens an entry and
+//! is forwarded carrying that handle; a later request for the same
+//! address at that node is absorbed into the entry. Each arrival appends
+//! its [`Source`] to the entry: a local mark, a fan-out element `(reply
+//! port, child handle)` naming the link back to the sender and the
+//! sender's own entry (those are the paper's direction bits), or a chain
+//! to another entry at the same node.
+//!
+//! **The reply** carries the handle of the entry it is about to unwind,
+//! so it does no lookups: [`PendingTables::take`] is an array index, and
+//! the reply leaves on every recorded port, in registration order, with
+//! the child handle as its new tag, plus a local delivery if this node's
+//! own processor asked. The module-column entry's handle is the read's
+//! `trail` in [`crate::memory::ModuleRequest::Read`], so the reply
+//! injected for it starts with the right handle.
+//!
+//! **Only shared addresses are indexed.** Finding the entry an arriving
+//! request joins needs an index keyed by `(node, address)`. A request can
+//! only join another request's entry when some other read of the step
+//! reads the same address, so [`SharedReads`] marks those reads once per
+//! step (one hash operation per read), and only they go through the
+//! index ([`PendingTables::register`]). Every other entry is appended
+//! without one ([`PendingTables::open`]): reads of an address nobody else
+//! reads, every request when combining is off (ablation A4, where every
+//! request keeps a private trail), and the star's private phase-0 trails
+//! (`star_emulator`). Such an entry could never have found a partner, so
+//! forwarding, absorption and every list are what an indexed entry would
+//! have had.
 //!
 //! The table is flat so that a PRAM step allocates nothing once it has
-//! warmed up: an index from key to entry slot (hashed by a small
-//! deterministic integer hasher), a slot vector, and one arena holding
-//! every entry's fan-out and chain lists as append-order linked lists.
-//! [`PendingTables::take`] hands back a `Copy` [`Pending`] handle whose
-//! lists the caller walks with [`PendingTables::next`];
-//! [`PendingTables::reset`] empties all three buffers and keeps their
-//! capacity.
+//! warmed up: the index (hashed by a small deterministic integer
+//! hasher), a slot vector, and one arena holding every entry's fan-out
+//! and chain lists as append-order linked lists. [`PendingTables::take`]
+//! hands back a `Copy` [`Pending`] whose lists the caller walks with
+//! [`PendingTables::next`]; [`PendingTables::reset`] empties all three
+//! buffers and keeps their capacity.
 //!
 //! Correctness rests on the routes being *memoryless and convergent*:
-//! once two requests for the same key meet at a node, their remaining
-//! paths coincide (true for the unique-path phase of leveled networks,
-//! for the greedy star route, and for the deterministic legs of the mesh
-//! algorithm), so the absorbed request's reply is guaranteed to pass back
-//! through the absorbing node.
-//!
-//! The `trail` component of the key is 0 when combining is enabled; with
-//! combining disabled (ablation A4) it is the requesting processor id, so
-//! every request keeps a private trail and nothing merges.
+//! once two requests for the same address meet at a node, their remaining
+//! paths coincide (true for the unique-path phase of leveled networks and
+//! for the greedy star route), so the absorbed request's reply is
+//! guaranteed to pass back through the absorbing node.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// A pending entry's address in [`PendingTables`]: its slot index, valid
+/// until the next [`PendingTables::reset`]. Packets carry it in a `u32`
+/// field.
+pub type Handle = u32;
 
 /// Where a pending request came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// The processor co-located with this node issued it.
     Local,
-    /// It arrived from this neighboring node.
-    FromNode(u32),
-    /// It continues another pending trail *at this same node* — used where
+    /// It arrived over a link. The reply leaves on `port` (this node's
+    /// port back to the sender) and continues at the sender's entry
+    /// `child`.
+    Neighbor {
+        /// Reply-network port toward the sender.
+        port: u32,
+        /// The sender's pending entry for this request.
+        child: Handle,
+    },
+    /// It continues the entry `child` *at this same node* — used where
     /// a private random-phase trail joins the shared convergent-phase tree
-    /// (the star/mesh emulators; see the deadlock discussion below). When
-    /// the reply consumes this entry it immediately processes the chained
-    /// trail's entry at the same node.
-    Chain(u32),
+    /// (the star emulator; see its module docs for the deadlock argument).
+    /// When the reply takes this entry it immediately takes `child` too.
+    Chain(Handle),
 }
 
 /// A taken pending read: where its reply goes. The lists are walked with
@@ -61,10 +88,10 @@ pub enum Source {
 pub struct Pending {
     /// Deliver to this node's own processor too?
     pub local: bool,
-    /// Neighbor nodes to copy the reply to, in registration order.
+    /// `(reply port, child handle)` per sender, in registration order.
     pub fanout: Cursor,
-    /// Trails to continue at this same node (see [`Source::Chain`]), in
-    /// registration order.
+    /// Entries to continue at this same node (see [`Source::Chain`]), in
+    /// registration order; their ports are unused.
     pub chains: Cursor,
 }
 
@@ -92,7 +119,8 @@ impl List {
 /// One list element in the link arena.
 #[derive(Debug, Clone, Copy)]
 struct Link {
-    value: u32,
+    port: u32,
+    child: Handle,
     next: u32,
 }
 
@@ -102,27 +130,28 @@ struct Slot {
     fanout: List,
     chains: List,
     local: bool,
+    taken: bool,
 }
 
-/// `(node, addr, trail)`, hashed as two words.
+impl Slot {
+    const EMPTY: Slot = Slot {
+        fanout: List::EMPTY,
+        chains: List::EMPTY,
+        local: false,
+        taken: false,
+    };
+}
+
+/// `(node, addr)`, hashed as two words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     addr: u64,
-    /// `node << 32 | trail`.
-    node_trail: u64,
+    node: u64,
 }
 
-impl Key {
-    fn new(node: usize, addr: u64, trail: u32) -> Self {
-        Key {
-            addr,
-            node_trail: (node as u64) << 32 | u64::from(trail),
-        }
-    }
-}
-
-/// Multiply-xor hasher for [`Key`]: deterministic (no random state) and
-/// a few cycles per key, where the default SipHash costs tens.
+/// Multiply-xor hasher for [`Key`] and addresses: deterministic (no
+/// random state) and a few cycles per key, where the default SipHash
+/// costs tens.
 #[derive(Debug, Default)]
 struct KeyHasher(u64);
 
@@ -143,15 +172,20 @@ impl Hasher for KeyHasher {
     }
 }
 
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 /// The pending-read table of every node of the emulating network.
 #[derive(Debug, Clone)]
 pub struct PendingTables {
     nodes: usize,
-    /// Key → index into `slots`, for entries not yet taken.
-    index: HashMap<Key, u32, BuildHasherDefault<KeyHasher>>,
+    /// `(node, addr)` → the entry a shared read there joins. An entry
+    /// stays indexed after it is taken; a later registration of its key
+    /// opens a fresh one.
+    index: KeyMap<Key, Handle>,
     slots: Vec<Slot>,
     links: Vec<Link>,
     combined: u32,
+    taken: u32,
 }
 
 impl PendingTables {
@@ -163,69 +197,93 @@ impl PendingTables {
             slots: Vec::new(),
             links: Vec::new(),
             combined: 0,
+            taken: 0,
         }
     }
 
-    /// Register a read request for `(addr, trail)` arriving at `node` from
-    /// `source`. Returns `true` when this is the first request for the key
+    /// Open a fresh entry that no later request can join, recording
+    /// `source`. The caller forwards the request with the returned handle.
+    pub fn open(&mut self, source: Source) -> Handle {
+        let handle = self.slots.len() as Handle;
+        self.slots.push(Slot::EMPTY);
+        self.attach(handle, source);
+        handle
+    }
+
+    /// Register a read of `addr` arriving at `node` from `source`, joining
+    /// the entry an earlier read of `addr` opened here. Returns the
+    /// entry's handle and `true` when this is the first read of the key
     /// here — the caller must forward the packet. `false` means absorbed
     /// (a combining event).
-    pub fn register(&mut self, node: usize, addr: u64, trail: u32, source: Source) -> bool {
+    pub fn register(&mut self, node: usize, addr: u64, source: Source) -> (Handle, bool) {
         assert!(node < self.nodes, "register at a node outside the network");
-        let fresh = self.slots.len() as u32;
-        let (slot, first) = match self.index.entry(Key::new(node, addr, trail)) {
-            Entry::Occupied(e) => (*e.get(), false),
+        let fresh = self.slots.len() as Handle;
+        let key = Key {
+            addr,
+            node: node as u64,
+        };
+        let (handle, first) = match self.index.entry(key) {
+            Entry::Occupied(e) if !self.slots[*e.get() as usize].taken => (*e.get(), false),
+            Entry::Occupied(mut e) => {
+                e.insert(fresh);
+                (fresh, true)
+            }
             Entry::Vacant(e) => {
                 e.insert(fresh);
-                self.slots.push(Slot {
-                    fanout: List::EMPTY,
-                    chains: List::EMPTY,
-                    local: false,
-                });
                 (fresh, true)
             }
         };
-        let slot = &mut self.slots[slot as usize];
+        if first {
+            self.slots.push(Slot::EMPTY);
+        } else {
+            self.combined += 1;
+        }
+        self.attach(handle, source);
+        (handle, first)
+    }
+
+    /// Record `source` on entry `handle`.
+    fn attach(&mut self, handle: Handle, source: Source) {
+        let slot = &mut self.slots[handle as usize];
         match source {
             Source::Local => {
                 debug_assert!(!slot.local, "one op per processor per step");
                 slot.local = true;
             }
-            Source::FromNode(u) => append(&mut self.links, &mut slot.fanout, u),
-            Source::Chain(t) => append(&mut self.links, &mut slot.chains, t),
+            Source::Neighbor { port, child } => {
+                append(&mut self.links, &mut slot.fanout, port, child);
+            }
+            Source::Chain(child) => append(&mut self.links, &mut slot.chains, NIL, child),
         }
-        if !first {
-            self.combined += 1;
-        }
-        first
     }
 
-    /// Remove the entry for `(addr, trail)` at `node` and return its
-    /// handle — called when the reply passes through. Panics if no entry
-    /// exists (a reply must always follow a registered request path).
-    pub fn take(&mut self, node: usize, addr: u64, trail: u32) -> Pending {
+    /// Take entry `handle` — called when the reply passes through. Panics
+    /// if the handle was never issued or is already taken (a reply must
+    /// follow a registered request path exactly once).
+    pub fn take(&mut self, handle: Handle) -> Pending {
         let slot = self
-            .index
-            .remove(&Key::new(node, addr, trail))
-            .unwrap_or_else(|| {
-                panic!("reply at node {node} for ({addr},{trail}) with no pending entry")
-            });
-        let s = self.slots[slot as usize];
+            .slots
+            .get_mut(handle as usize)
+            .filter(|s| !s.taken)
+            .unwrap_or_else(|| panic!("reply for handle {handle} with no pending entry"));
+        slot.taken = true;
+        self.taken += 1;
         Pending {
-            local: s.local,
-            fanout: Cursor(s.fanout.head),
-            chains: Cursor(s.chains.head),
+            local: slot.local,
+            fanout: Cursor(slot.fanout.head),
+            chains: Cursor(slot.chains.head),
         }
     }
 
-    /// The list element at `cursor`, advancing it; `None` at the end.
-    pub fn next(&self, cursor: &mut Cursor) -> Option<u32> {
+    /// The `(port, child)` list element at `cursor`, advancing it; `None`
+    /// at the end.
+    pub fn next(&self, cursor: &mut Cursor) -> Option<(u32, Handle)> {
         if cursor.0 == NIL {
             return None;
         }
         let link = self.links[cursor.0 as usize];
         cursor.0 = link.next;
-        Some(link.value)
+        Some((link.port, link.child))
     }
 
     /// Combining events since construction or the last [`Self::reset`].
@@ -240,25 +298,74 @@ impl PendingTables {
         self.slots.clear();
         self.links.clear();
         self.combined = 0;
+        self.taken = 0;
     }
 
     /// Are all entries taken? (After a completed reply phase they must
     /// be — asserted by the emulators in debug builds.)
     pub fn all_clear(&self) -> bool {
-        self.index.is_empty()
+        self.taken as usize == self.slots.len()
+    }
+
+    /// The address of every indexed key, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn indexed_addrs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.index.keys().map(|k| k.addr)
     }
 }
 
-/// Append `value` to `list`, keeping registration order.
-fn append(links: &mut Vec<Link>, list: &mut List, value: u32) {
+/// Append `(port, child)` to `list`, keeping registration order.
+fn append(links: &mut Vec<Link>, list: &mut List, port: u32, child: Handle) {
     let at = links.len() as u32;
-    links.push(Link { value, next: NIL });
+    links.push(Link {
+        port,
+        child,
+        next: NIL,
+    });
     if list.head == NIL {
         list.head = at;
     } else {
         links[list.tail as usize].next = at;
     }
     list.tail = at;
+}
+
+/// Which of a step's requests are reads that can combine: a read whose
+/// address no other read of the step reads never meets a partner, so its
+/// entries need no index. Buffers are reused from step to step.
+#[derive(Debug, Clone, Default)]
+pub struct SharedReads {
+    /// Address → the first request reading it.
+    first: KeyMap<u64, u32>,
+    shared: Vec<bool>,
+}
+
+impl SharedReads {
+    /// Recompute from one step's requests in request-id order: `Some(addr)`
+    /// for a read that may combine, `None` for any other request (every
+    /// request, when combining is off).
+    pub fn mark(&mut self, reads: impl IntoIterator<Item = Option<u64>>) {
+        self.first.clear();
+        self.shared.clear();
+        for (id, addr) in reads.into_iter().enumerate() {
+            self.shared.push(false);
+            let Some(addr) = addr else { continue };
+            match self.first.entry(addr) {
+                Entry::Vacant(e) => {
+                    e.insert(id as u32);
+                }
+                Entry::Occupied(e) => {
+                    self.shared[*e.get() as usize] = true;
+                    self.shared[id] = true;
+                }
+            }
+        }
+    }
+
+    /// Does request `id` read an address another read of the step reads?
+    pub fn get(&self, id: u32) -> bool {
+        self.shared[id as usize]
+    }
 }
 
 #[cfg(test)]
@@ -269,61 +376,82 @@ mod tests {
     use rand::Rng;
     use std::collections::BTreeMap;
 
-    /// Every element of the list at `cursor`.
-    fn walk(pt: &PendingTables, mut cursor: Cursor) -> Vec<u32> {
+    /// Every `(port, child)` of the list at `cursor`.
+    fn walk(pt: &PendingTables, mut cursor: Cursor) -> Vec<(u32, Handle)> {
         std::iter::from_fn(|| pt.next(&mut cursor)).collect()
+    }
+
+    fn ports(pt: &PendingTables, cursor: Cursor) -> Vec<u32> {
+        walk(pt, cursor).into_iter().map(|(p, _)| p).collect()
+    }
+
+    fn children(pt: &PendingTables, cursor: Cursor) -> Vec<Handle> {
+        walk(pt, cursor).into_iter().map(|(_, c)| c).collect()
+    }
+
+    fn from(port: u32, child: Handle) -> Source {
+        Source::Neighbor { port, child }
     }
 
     #[test]
     fn first_registration_forwards_rest_absorb() {
         let mut pt = PendingTables::new(4);
-        assert!(pt.register(2, 100, 0, Source::Local));
-        assert!(!pt.register(2, 100, 0, Source::FromNode(1)));
-        assert!(!pt.register(2, 100, 0, Source::FromNode(3)));
+        let (h, first) = pt.register(2, 100, Source::Local);
+        assert!(first);
+        assert_eq!(pt.register(2, 100, from(1, 11)), (h, false));
+        assert_eq!(pt.register(2, 100, from(3, 13)), (h, false));
         assert_eq!(pt.combined(), 2);
-        let e = pt.take(2, 100, 0);
+        let e = pt.take(h);
         assert!(e.local);
-        assert_eq!(walk(&pt, e.fanout), vec![1, 3]);
+        assert_eq!(ports(&pt, e.fanout), vec![1, 3]);
+        assert_eq!(children(&pt, e.fanout), vec![11, 13]);
         assert!(pt.all_clear());
     }
 
     #[test]
     fn distinct_trails_do_not_merge() {
+        // Private trails are opened, never indexed: two of them for one
+        // address at one node stay apart, and a shared read of the same
+        // address does not find them.
         let mut pt = PendingTables::new(2);
-        assert!(pt.register(0, 100, 7, Source::Local));
-        assert!(pt.register(0, 100, 8, Source::FromNode(1)));
+        let a = pt.open(Source::Local);
+        let b = pt.open(from(1, 0));
+        assert_ne!(a, b);
+        assert!(pt.register(0, 100, from(1, 0)).1);
         assert_eq!(pt.combined(), 0);
     }
 
     #[test]
     fn distinct_addresses_do_not_merge() {
         let mut pt = PendingTables::new(2);
-        assert!(pt.register(1, 5, 0, Source::Local));
-        assert!(pt.register(1, 6, 0, Source::Local));
+        assert!(pt.register(1, 5, Source::Local).1);
+        assert!(pt.register(1, 6, Source::Local).1);
         assert_eq!(pt.combined(), 0);
     }
 
     #[test]
     fn per_node_isolation() {
         let mut pt = PendingTables::new(3);
-        assert!(pt.register(0, 9, 0, Source::Local));
-        assert!(pt.register(1, 9, 0, Source::FromNode(0)));
+        let (h0, first0) = pt.register(0, 9, Source::Local);
+        let (h1, first1) = pt.register(1, 9, from(0, h0));
+        assert!(first0 && first1);
         assert_eq!(pt.combined(), 0);
-        let e = pt.take(1, 9, 0);
-        assert_eq!(walk(&pt, e.fanout), vec![0]);
+        let e = pt.take(h1);
+        assert_eq!(walk(&pt, e.fanout), vec![(0, h0)]);
         assert!(!pt.all_clear());
-        pt.take(0, 9, 0);
+        pt.take(h0);
         assert!(pt.all_clear());
     }
 
     #[test]
     fn chained_trails_count_as_combining() {
         let mut pt = PendingTables::new(2);
-        assert!(pt.register(0, 4, 0, Source::Chain(7)));
-        assert!(!pt.register(0, 4, 0, Source::Chain(9)));
+        let (h, first) = pt.register(0, 4, Source::Chain(7));
+        assert!(first);
+        assert!(!pt.register(0, 4, Source::Chain(9)).1);
         assert_eq!(pt.combined(), 1);
-        let e = pt.take(0, 4, 0);
-        assert_eq!(walk(&pt, e.chains), vec![7, 9]);
+        let e = pt.take(h);
+        assert_eq!(children(&pt, e.chains), vec![7, 9]);
         assert!(walk(&pt, e.fanout).is_empty());
     }
 
@@ -331,91 +459,149 @@ mod tests {
     #[should_panic(expected = "no pending entry")]
     fn reply_without_request_panics() {
         let mut pt = PendingTables::new(1);
-        pt.take(0, 1, 0);
+        pt.take(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no pending entry")]
+    fn second_reply_for_one_entry_panics() {
+        let mut pt = PendingTables::new(1);
+        let h = pt.open(Source::Local);
+        pt.take(h);
+        pt.take(h);
+    }
+
+    #[test]
+    fn taken_key_reopens_on_register() {
+        let mut pt = PendingTables::new(1);
+        let (a, _) = pt.register(0, 3, Source::Local);
+        pt.take(a);
+        let (b, first) = pt.register(0, 3, from(2, 5));
+        assert!(first);
+        assert_ne!(a, b);
+        assert_eq!(pt.combined(), 0);
+        assert!(!pt.all_clear());
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut pt = PendingTables::new(2);
-        pt.register(0, 1, 0, Source::Local);
-        pt.register(0, 1, 0, Source::FromNode(1));
+        pt.register(0, 1, Source::Local);
+        pt.register(0, 1, from(1, 0));
+        pt.open(Source::Local);
         pt.reset();
         assert!(pt.all_clear());
         assert_eq!(pt.combined(), 0);
+        assert_eq!(pt.indexed_addrs().count(), 0);
+        assert!(pt.register(0, 1, Source::Local).1);
     }
 
     #[test]
     fn handles_stay_readable_after_later_takes() {
         let mut pt = PendingTables::new(2);
-        pt.register(0, 1, 0, Source::FromNode(1));
-        pt.register(0, 1, 0, Source::FromNode(5));
-        pt.register(1, 1, 0, Source::Chain(3));
-        let a = pt.take(0, 1, 0);
-        let b = pt.take(1, 1, 0);
-        assert_eq!(walk(&pt, a.fanout), vec![1, 5]);
-        assert_eq!(walk(&pt, b.chains), vec![3]);
+        let (a, _) = pt.register(0, 1, from(1, 10));
+        pt.register(0, 1, from(5, 50));
+        let b = pt.open(Source::Chain(3));
+        let a = pt.take(a);
+        let b = pt.take(b);
+        assert_eq!(walk(&pt, a.fanout), vec![(1, 10), (5, 50)]);
+        assert_eq!(children(&pt, b.chains), vec![3]);
     }
 
-    /// The naive model: one owned entry per live key, in a `BTreeMap`.
+    #[test]
+    fn shared_reads_marks_every_reader_of_a_repeated_address() {
+        let mut sr = SharedReads::default();
+        sr.mark([Some(4), None, Some(7), Some(4), Some(9), None, Some(4)]);
+        let got: Vec<bool> = (0..7).map(|id| sr.get(id)).collect();
+        assert_eq!(got, [true, false, false, true, false, false, true]);
+        // Buffers are reused: a step of distinct reads marks nothing.
+        sr.mark([Some(4), Some(7)]);
+        assert!(!sr.get(0) && !sr.get(1));
+    }
+
+    /// The naive model: one owned entry per issued handle.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     struct PendingEntry {
-        fanout: Vec<u32>,
-        chains: Vec<u32>,
+        fanout: Vec<(u32, Handle)>,
+        chains: Vec<Handle>,
         local: bool,
     }
 
     proptest! {
         /// The flat table against the naive model on random interleaved
-        /// register/take/reset sequences over a few nodes, addresses and
-        /// trails (so keys collide, absorb and reopen after a take).
+        /// register/open/take/reset sequences over a few nodes and
+        /// addresses (so keys collide, absorb and reopen after a take).
+        /// `None` in `entries` marks a taken handle.
         #[test]
         fn prop_flat_table_matches_btreemap_model(seed: u64, ops in 1usize..400) {
             let mut rng = SeedSeq::new(seed).rng();
             let nodes = rng.gen_range(1..6usize);
             let mut pt = PendingTables::new(nodes);
-            let mut model: BTreeMap<(usize, u64, u32), PendingEntry> = BTreeMap::new();
+            let mut entries: Vec<Option<PendingEntry>> = Vec::new();
+            let mut index: BTreeMap<(usize, u64), Handle> = BTreeMap::new();
             let mut combined = 0u32;
             for _ in 0..ops {
-                let key = (
-                    rng.gen_range(0..nodes),
-                    rng.gen_range(0..4u64),
-                    rng.gen_range(0..3u32),
-                );
-                let (node, addr, trail) = key;
+                let key = (rng.gen_range(0..nodes), rng.gen_range(0..4u64));
                 match rng.gen_range(0..20) {
                     0 => {
                         pt.reset();
-                        model.clear();
+                        entries.clear();
+                        index.clear();
                         combined = 0;
                     }
                     1..=6 => {
-                        let Some(want) = model.remove(&key) else {
+                        let live: Vec<usize> =
+                            (0..entries.len()).filter(|&h| entries[h].is_some()).collect();
+                        if live.is_empty() {
                             continue;
-                        };
-                        let got = pt.take(node, addr, trail);
+                        }
+                        let h = live[rng.gen_range(0..live.len())];
+                        let want = entries[h].take().unwrap();
+                        let got = pt.take(h as Handle);
                         prop_assert_eq!(got.local, want.local);
                         prop_assert_eq!(walk(&pt, got.fanout), want.fanout);
-                        prop_assert_eq!(walk(&pt, got.chains), want.chains);
+                        prop_assert_eq!(children(&pt, got.chains), want.chains);
                     }
-                    _ => {
-                        let source = match rng.gen_range(0..3) {
-                            0 if !model.get(&key).is_some_and(|e| e.local) => Source::Local,
-                            1 => Source::Chain(rng.gen_range(0..50)),
-                            _ => Source::FromNode(rng.gen_range(0..50)),
+                    step => {
+                        let open = step < 10;
+                        // The handle this request joins or opens, per the model.
+                        let joined = if open {
+                            None
+                        } else {
+                            index
+                                .get(&key)
+                                .copied()
+                                .filter(|&h| entries[h as usize].is_some())
                         };
-                        let entry = model.entry(key).or_default();
-                        let first = entry == &PendingEntry::default();
+                        let (handle, first) =
+                            joined.map_or((entries.len() as Handle, true), |h| (h, false));
+                        if first {
+                            entries.push(Some(PendingEntry::default()));
+                            if !open {
+                                index.insert(key, handle);
+                            }
+                        }
+                        let entry = entries[handle as usize].as_mut().unwrap();
+                        let source = match rng.gen_range(0..3) {
+                            0 if !entry.local => Source::Local,
+                            1 => Source::Chain(rng.gen_range(0..50)),
+                            _ => from(rng.gen_range(0..8), rng.gen_range(0..50)),
+                        };
                         match source {
                             Source::Local => entry.local = true,
-                            Source::FromNode(u) => entry.fanout.push(u),
-                            Source::Chain(t) => entry.chains.push(t),
+                            Source::Neighbor { port, child } => entry.fanout.push((port, child)),
+                            Source::Chain(child) => entry.chains.push(child),
                         }
                         combined += u32::from(!first);
-                        prop_assert_eq!(pt.register(node, addr, trail, source), first);
+                        if open {
+                            prop_assert_eq!(pt.open(source), handle);
+                        } else {
+                            prop_assert_eq!(pt.register(key.0, key.1, source), (handle, first));
+                        }
                     }
                 }
                 prop_assert_eq!(pt.combined(), combined);
-                prop_assert_eq!(pt.all_clear(), model.is_empty());
+                prop_assert_eq!(pt.all_clear(), entries.iter().all(Option::is_none));
             }
         }
     }

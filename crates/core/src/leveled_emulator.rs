@@ -11,12 +11,24 @@
 //! 2. **Request routing** (Algorithm 2.1): random intermediate column-ℓ
 //!    node, then the unique path to the module. Read requests are
 //!    combined en route through the pending tables of
-//!    [`crate::combining`] (Theorem 2.6); writes travel individually and
-//!    are resolved at the module.
+//!    [`crate::combining`] (Theorem 2.6): at each node a read opens or
+//!    joins a pending entry, records the backward port to its sender
+//!    (`Leveled::pred_digit`, O(1)) and the sender's entry handle, and is
+//!    forwarded carrying its own entry's handle in `Packet::via2`. Only
+//!    reads of an address another read of the step also reads go through
+//!    the `(node, address)` index; the rest cannot meet a partner and
+//!    open their entries directly. Writes merge en route under the
+//!    associative CRCW policies (footnote 3) and are otherwise resolved
+//!    at the module.
 //! 3. **Service**: modules serve their batch with read-before-write
-//!    semantics ([`crate::memory`]).
-//! 4. **Reply routing**: read replies retrace the request trees backward
-//!    (the stored direction bits), fanning out at every combining point.
+//!    semantics ([`crate::memory`]). A read's `trail` is the handle of its
+//!    module-column entry.
+//! 4. **Reply routing**: each served read is injected as a reply packet
+//!    carrying that handle in `via` and the value in `tag`. At every node
+//!    the reply takes its entry by handle (no lookup) and copies itself
+//!    onto each recorded port with the child handle, retracing the
+//!    request tree backward (the stored direction bits) and fanning out
+//!    at every combining point.
 //! 5. **Rehash** (§2.1): if the request routing misses its `d(ℓ)` step
 //!    budget, a designated processor draws a fresh hash function, all
 //!    cells are remapped (an explicit remap charge), the budget doubles,
@@ -25,7 +37,7 @@
 //! Results are bit-identical to `lnpram_pram::PramMachine` — enforced by
 //! the tests here and the cross-crate integration tests.
 
-use crate::combining::{PendingTables, Source};
+use crate::combining::{Handle, PendingTables, SharedReads, Source};
 use crate::config::{EmuReport, EmulatorConfig, StepStats};
 use crate::memory::{ModuleArray, ModuleRequest};
 use lnpram_hash::{HashFamily, PolyHash};
@@ -35,9 +47,7 @@ use lnpram_routing::DoubledLeveled;
 use lnpram_shard::{AnyEngine, LevelCut};
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
-use lnpram_topology::Network;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// One issued request, kept by the emulator across rehash attempts.
 #[derive(Debug, Clone, Copy)]
@@ -76,8 +86,8 @@ pub struct LeveledPramEmulator<L: Leveled + Copy> {
     /// `(value, proc)` of every request, indexed by request id (reads
     /// hold a placeholder) — refilled each attempt, capacity kept.
     write_vals: Vec<(u64, usize)>,
-    /// This step's value of every address read, likewise reused.
-    read_values: HashMap<u64, u64>,
+    /// Which of this step's reads can combine, likewise reused.
+    shared: SharedReads,
 }
 
 impl<L: Leveled + Copy> LeveledPramEmulator<L> {
@@ -144,7 +154,7 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
             req_engine,
             rep_engine,
             write_vals: Vec::new(),
-            read_values: HashMap::new(),
+            shared: SharedReads::default(),
         }
     }
 
@@ -239,6 +249,13 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
             return Vec::new();
         }
 
+        // With combining off no read can combine, so none is marked.
+        let combining = self.cfg.combining;
+        self.shared.mark(
+            requests
+                .iter()
+                .map(|r| (combining && r.write.is_none()).then_some(r.addr)),
+        );
         let step_seq = self.seq.child(1).child(step_label);
         let mut attempt = 0u32;
         let reads_out = loop {
@@ -301,6 +318,7 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
                 modules,
                 req_engine,
                 write_vals,
+                shared,
                 ..
             } = self;
             let mut proto = RequestProtocol {
@@ -308,6 +326,7 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
                 tables,
                 modules,
                 write_vals,
+                shared,
                 combining,
                 write_merges: 0,
             };
@@ -330,11 +349,10 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
             return Some(Vec::new());
         }
         self.rep_engine.reset();
-        self.read_values.clear();
-        for &(module, addr, trail, value) in reads {
-            self.read_values.insert(addr, value);
-            let mut pkt = Packet::new(0, trail, 0).with_tag(addr);
-            pkt.via = trail;
+        // A read's trail is its module-column entry's handle: the reply
+        // carries the handle to unwind in `via` and the value in `tag`.
+        for &(module, _, handle, value) in reads {
+            let pkt = Packet::new(0, 0, 0).with_via(handle).with_tag(value);
             self.rep_engine
                 .inject(self.bwd.node_id(2 * self.inner.levels(), module), pkt);
         }
@@ -344,13 +362,11 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
                 bwd,
                 tables,
                 rep_engine,
-                read_values,
                 ..
             } = self;
             let mut proto = ReplyProtocol {
                 net: &*bwd,
                 tables,
-                read_values,
                 deliveries: &mut deliveries,
             };
             let out = rep_engine.run(&mut proto);
@@ -390,17 +406,32 @@ struct RequestProtocol<'a, L: Leveled> {
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
     write_vals: &'a mut [(u64, usize)],
+    shared: &'a SharedReads,
     combining: bool,
     /// Same-step write merges performed (footnote 3 applied to writes).
     write_merges: u32,
 }
 
 impl<L: Leveled> RequestProtocol<'_, L> {
-    fn trail_of(&self, pkt: &Packet) -> u32 {
-        if self.combining {
-            0
+    /// Record read `pkt` at `(col, idx)`: its entry's handle, and whether
+    /// it opened the entry (forward) or joined one (absorb). An arriving
+    /// packet carries its sender's entry handle in `via2`. Only reads of
+    /// an address another read of the step shares go through the index.
+    fn register(&mut self, node: usize, col: usize, idx: usize, pkt: &Packet) -> (Handle, bool) {
+        let source = if col == 0 {
+            Source::Local
         } else {
-            pkt.src
+            let (_, from) = self.net.split(pkt.prev as usize);
+            let port = self.net.leveled().pred_digit(col - 1, idx, from);
+            Source::Neighbor {
+                port: port as u32,
+                child: pkt.via2,
+            }
+        };
+        if self.shared.get(pkt.id) {
+            self.tables.register(node, pkt.tag, source)
+        } else {
+            (self.tables.open(source), true)
         }
     }
 
@@ -489,49 +520,37 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
         }
     }
 
-    fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
-        let lv = self.net.leveled();
-        let half = lv.levels() / 2;
+    fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
+        let levels = self.net.leveled().levels();
         let (col, idx) = self.net.split(node);
         let is_write = pkt.phase == 1;
         let addr = pkt.tag;
 
-        if col == lv.levels() {
+        if col == levels {
             // Module column.
             if is_write {
                 let (value, proc) = self.write_vals[pkt.id as usize];
                 self.modules
                     .buffer(idx, ModuleRequest::Write { addr, value, proc });
-                out.deliver(pkt);
-            } else {
-                let trail = self.trail_of(&pkt);
-                let first = self
-                    .tables
-                    .register(node, addr, trail, Source::FromNode(pkt.prev));
-                if first {
-                    self.modules
-                        .buffer(idx, ModuleRequest::Read { addr, trail });
-                }
-                out.deliver(pkt);
+            } else if let (trail, true) = self.register(node, col, idx, &pkt) {
+                self.modules
+                    .buffer(idx, ModuleRequest::Read { addr, trail });
             }
+            out.deliver(pkt);
             return;
         }
 
         if !is_write {
-            let trail = self.trail_of(&pkt);
-            let source = if step == 0 {
-                Source::Local
-            } else {
-                Source::FromNode(pkt.prev)
-            };
-            let first = self.tables.register(node, addr, trail, source);
+            let (handle, first) = self.register(node, col, idx, &pkt);
             if !first {
                 out.absorb(pkt); // combined — the pending entry fans out later
                 return;
             }
+            pkt.via2 = handle;
         }
 
-        let target = if col < half { pkt.via } else { pkt.dest } as usize;
+        let lv = self.net.leveled();
+        let target = if col < levels / 2 { pkt.via } else { pkt.dest } as usize;
         let digit = lv.digit_toward(col, idx, target);
         pkt.prev = node as u32;
         out.send(digit, pkt);
@@ -539,31 +558,26 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
 }
 
 /// Reply-phase protocol: retrace the pending-table tree, fanning out.
+/// A reply packet carries the handle of the entry to take in `via` and
+/// the value read in `tag`.
 struct ReplyProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
-    read_values: &'a HashMap<u64, u64>,
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
 impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
-        let addr = pkt.tag;
-        let trail = pkt.via;
-        let entry = self.tables.take(node, addr, trail);
+        let entry = self.tables.take(pkt.via);
         if entry.local {
             let (col, idx) = self.net.split(node);
             debug_assert_eq!(col, 0, "local requests only originate in column 0");
-            self.deliveries.push((idx, self.read_values[&addr]));
+            self.deliveries.push((idx, pkt.tag));
         }
         let mut sent = false;
         let mut fanout = entry.fanout;
-        while let Some(to) = self.tables.next(&mut fanout) {
-            let port = self
-                .net
-                .port_to(node, to as usize)
-                .expect("fanout neighbor reachable on reply network");
-            out.send(port, pkt);
+        while let Some((port, child)) = self.tables.next(&mut fanout) {
+            out.send(port as usize, pkt.with_via(child));
             sent = true;
         }
         if !sent {
@@ -810,5 +824,38 @@ mod tests {
             (rep.network_steps(), emu.memory_image(16))
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn only_shared_addresses_are_indexed() {
+        let mut emu = LeveledPramEmulator::new(
+            UnrolledShuffle::new(3, 3),
+            AccessMode::Crew,
+            64,
+            EmulatorConfig::default(),
+        );
+        for a in 0..64 {
+            let m = emu.module_of(a);
+            emu.modules.poke(m, a, 100 + a);
+        }
+        // Every read hits its own address: nothing can combine, so no
+        // entry goes through the index.
+        let ops: Vec<MemOp> = (0..27).map(|p| MemOp::Read(p as u64)).collect();
+        let mut reads = emu.emulate_step(&ops, 0);
+        reads.sort_unstable();
+        let want: Vec<(usize, u64)> = (0..27).map(|p| (p, 100 + p as u64)).collect();
+        assert_eq!(reads, want);
+        assert_eq!(emu.tables.indexed_addrs().count(), 0);
+        // Hot spot: the even processors share address 40, the odd ones
+        // read their own; only address 40 is indexed.
+        let hot = |p: usize| if p.is_multiple_of(2) { 40 } else { p as u64 };
+        let ops: Vec<MemOp> = (0..27).map(|p| MemOp::Read(hot(p))).collect();
+        let mut reads = emu.emulate_step(&ops, 1);
+        reads.sort_unstable();
+        let want: Vec<(usize, u64)> = (0..27).map(|p| (p, 100 + hot(p))).collect();
+        assert_eq!(reads, want);
+        let indexed: std::collections::BTreeSet<u64> = emu.tables.indexed_addrs().collect();
+        assert_eq!(indexed, [40].into());
+        assert!(emu.report().steps[1].combined > 0);
     }
 }

@@ -14,10 +14,13 @@
 //!
 //! * [`config`] — emulator parameters and per-step/aggregate statistics.
 //! * [`combining`] — the CRCW packet-combining table: pending entries
-//!   keyed by `(node, address, trail)` with fan-out "direction bits"
-//!   (footnote 3 of the paper), stored flat so a step allocates nothing;
-//!   concurrent reads of one cell collapse to a single request and the
-//!   reply fans back out along the recorded ports.
+//!   addressed by `u32` handles, each holding fan-out "direction bits"
+//!   (footnote 3 of the paper) as `(reply port, child handle)` pairs,
+//!   stored flat so a step allocates nothing; concurrent reads of one
+//!   cell collapse to a single request, and the reply, carrying the
+//!   handle of the entry it unwinds, fans back out without a lookup.
+//!   Only reads of an address another read shares go through the
+//!   `(node, address)` index.
 //! * [`memory`] — the distributed memory modules with batch service and
 //!   CRCW write resolution identical to the reference machine.
 //! * [`leveled_emulator`] — Theorems 2.5/2.6 on any delta leveled network

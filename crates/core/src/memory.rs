@@ -16,13 +16,15 @@ use std::collections::HashMap;
 /// One buffered request at a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModuleRequest {
-    /// Read of `addr`. `trail` is the reply-routing tag: 0 under
-    /// combining (one read per distinct address), the requesting
-    /// processor id otherwise (one read per requester).
+    /// Read of `addr`. `trail` is the reply tag the served value is
+    /// routed back with: on the leveled and star emulators the
+    /// [`Handle`](crate::combining::Handle) of the read's pending entry at
+    /// the module (the reply unwinds the request tree from it), on the
+    /// mesh the requesting processor.
     Read {
         /// The shared-memory address.
         addr: u64,
-        /// Reply trail tag (see [`crate::combining`]).
+        /// Reply tag (see above).
         trail: u32,
     },
     /// Write of `value` to `addr` by `proc` (proc id breaks Priority ties).

@@ -12,16 +12,27 @@
 //! strictly forward by column, so pending entries can never form a cycle.
 //! On the star, two packets travelling toward *different random
 //! intermediates* could each get absorbed into the other's trail —
-//! a deadlock. The canonical phase-2 route, however, decreases the
-//! distance to the module by exactly one per hop, so phase-2 trails are
-//! acyclic. We therefore keep phase-1 trails *private* (keyed by
-//! requester) and let them join the shared phase-2 tree at the
-//! intermediate node through a [`Source::Chain`] link; the reply unwinds
-//! the shared tree and then each private trail. Combining across
-//! requesters happens exactly where it is safe — the convergent phase —
-//! which is also where the hot-spot traffic concentrates.
+//! a deadlock. The canonical phase-1 route (toward the module), however,
+//! decreases the distance to the module by exactly one per hop, so
+//! phase-1 trails are acyclic. We therefore keep phase-0 trails (toward
+//! the intermediate) *private*: their entries are opened without the
+//! combining index. At the intermediate node the phase-0 entry joins the
+//! shared phase-1 tree through a [`Source::Chain`] link holding its
+//! handle; the reply unwinds the shared tree and then each private trail.
+//! Combining across requesters happens exactly where it is safe — the
+//! convergent phase — which is also where the hot-spot traffic
+//! concentrates. Only phase-1 reads of an address another read of the
+//! step shares go through the index; with combining off every entry is
+//! private.
+//!
+//! **Replies.** A forwarded read carries its entry's handle in
+//! `Packet::via2`, and every arrival records `(port back to the sender,
+//! sender's handle)` — the port found once, at registration, with
+//! `Network::port_to`. The module-column entry's handle is the read's
+//! `trail`, so a reply packet carries the handle to take in `via` and the
+//! value in `tag`, and unwinds the tree with no lookups.
 
-use crate::combining::{PendingTables, Source};
+use crate::combining::{Handle, PendingTables, SharedReads, Source};
 use crate::config::{EmuReport, EmulatorConfig, StepStats};
 use crate::memory::{ModuleArray, ModuleRequest};
 use lnpram_hash::{HashFamily, PolyHash};
@@ -32,7 +43,6 @@ use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Network, StarGraph};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// The PRAM emulator on the n-star graph (Corollaries 2.3/2.5).
 pub struct StarPramEmulator {
@@ -53,8 +63,8 @@ pub struct StarPramEmulator {
     /// `(value, proc)` of every request, indexed by request id (reads
     /// hold a placeholder) — refilled each attempt, capacity kept.
     write_vals: Vec<(u64, usize)>,
-    /// This step's value of every address read, likewise reused.
-    read_values: HashMap<u64, u64>,
+    /// Which of this step's reads can combine, likewise reused.
+    shared: SharedReads,
 }
 
 impl StarPramEmulator {
@@ -94,7 +104,7 @@ impl StarPramEmulator {
             report: EmuReport::default(),
             engine,
             write_vals: Vec::new(),
-            read_values: HashMap::new(),
+            shared: SharedReads::default(),
         }
     }
 
@@ -186,6 +196,13 @@ impl StarPramEmulator {
             return Vec::new();
         }
 
+        // With combining off no read can combine, so none is marked.
+        let combining = self.cfg.combining;
+        self.shared.mark(
+            requests
+                .iter()
+                .map(|r| (combining && r.write.is_none()).then_some(r.addr)),
+        );
         let step_seq = self.seq.child(1).child(step_label);
         let mut attempt = 0u32;
         loop {
@@ -218,6 +235,7 @@ impl StarPramEmulator {
                     modules,
                     engine,
                     write_vals,
+                    shared,
                     ..
                 } = self;
                 let mut proto = StarRequestProtocol {
@@ -225,7 +243,7 @@ impl StarPramEmulator {
                     tables,
                     modules,
                     write_vals,
-                    combining: self.cfg.combining,
+                    shared,
                 };
                 let out = engine.run(&mut proto);
                 if !out.completed {
@@ -251,24 +269,15 @@ impl StarPramEmulator {
             if !reads.is_empty() {
                 self.engine.reset();
                 self.engine.set_max_steps(u32::MAX);
-                self.read_values.clear();
-                for &(module, addr, trail, value) in reads {
-                    self.read_values.insert(addr, value);
-                    let mut pkt = Packet::new(0, 0, 0).with_tag(addr);
-                    pkt.via = trail;
+                // The read's trail is the handle of its entry at the
+                // module: the reply carries it in `via`, the value in `tag`.
+                for &(module, _, handle, value) in reads {
+                    let pkt = Packet::new(0, 0, 0).with_via(handle).with_tag(value);
                     self.engine.inject(module, pkt);
                 }
-                let Self {
-                    star,
-                    tables,
-                    engine,
-                    read_values,
-                    ..
-                } = self;
+                let Self { tables, engine, .. } = self;
                 let mut proto = StarReplyProtocol {
-                    star: *star,
                     tables,
-                    read_values,
                     deliveries: &mut deliveries,
                 };
                 let out = engine.run(&mut proto);
@@ -301,36 +310,28 @@ impl StarPramEmulator {
 }
 
 /// Request protocol: Algorithm 2.2 with phase-aware combining (see the
-/// module docs for why phase-1 trails stay private).
+/// module docs for why phase-0 trails stay private).
 struct StarRequestProtocol<'a> {
     star: StarGraph,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
     write_vals: &'a [(u64, usize)],
-    combining: bool,
+    shared: &'a SharedReads,
 }
 
 impl StarRequestProtocol<'_> {
-    /// Private phase-0 trail tag (0 is reserved for the shared tree, so
-    /// processor ids are shifted by one).
-    fn phase0_trail(pkt: &Packet) -> u32 {
-        pkt.src + 1
-    }
-
-    /// Trail tag used after the intermediate node: the shared tree when
-    /// combining, a second private trail otherwise (distinct from the
-    /// phase-0 trail because the two legs of one request may cross).
-    fn phase1_trail(&self, pkt: &Packet) -> u32 {
-        if self.combining {
-            0
+    /// Record read `pkt` at `node` from `source`: its entry's handle, and
+    /// whether it opened the entry (forward) or joined one (absorb). Only
+    /// phase-1 reads another read of the step shares go through the
+    /// index; phase-0 trails are private.
+    fn enter(&mut self, node: usize, pkt: &Packet, source: Source) -> (Handle, bool) {
+        if pkt.phase == 1 && self.shared.get(pkt.id) {
+            self.tables.register(node, pkt.tag, source)
         } else {
-            (pkt.src + 1) | PHASE1_MARK
+            (self.tables.open(source), true)
         }
     }
 }
-
-/// High bit distinguishing non-combining phase-1 trails from phase-0 ones.
-const PHASE1_MARK: u32 = 1 << 30;
 
 impl Protocol for StarRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
@@ -359,43 +360,39 @@ impl Protocol for StarRequestProtocol<'_> {
         }
 
         // --- Reads ---
-        let arrived_on = if pkt.phase == 1 {
-            self.phase1_trail(&pkt)
-        } else {
-            Self::phase0_trail(&pkt)
-        };
         let source = if step == 0 {
             Source::Local
         } else {
-            Source::FromNode(pkt.prev)
+            // SWAP ports are involutions: the port back to the sender.
+            let port = self
+                .star
+                .port_to(node, pkt.prev as usize)
+                .expect("star is undirected");
+            Source::Neighbor {
+                port: port as u32,
+                child: pkt.via2,
+            }
         };
-        let first = self.tables.register(node, addr, arrived_on, source);
+        let (mut handle, first) = self.enter(node, &pkt, source);
         if !first {
-            out.absorb(pkt); // merged into the shared phase-2 tree
+            out.absorb(pkt); // merged into the shared phase-1 tree
             return;
         }
 
-        // Phase transition at the intermediate node: the phase-0 trail
-        // joins (or opens) the phase-1 trail here via a chain link.
+        // Phase transition at the intermediate node: the private phase-0
+        // trail joins (or opens) the phase-1 trail here via a chain link.
         if pkt.phase == 0 && node == pkt.via as usize {
             pkt.phase = 1;
-            let p1 = self.phase1_trail(&pkt);
-            let first_p1 =
-                self.tables
-                    .register(node, addr, p1, Source::Chain(Self::phase0_trail(&pkt)));
+            let (p1, first_p1) = self.enter(node, &pkt, Source::Chain(handle));
             if !first_p1 {
-                debug_assert!(self.combining, "private trails never collide");
                 out.absorb(pkt);
                 return;
             }
+            handle = p1;
         }
 
-        let trail = if pkt.phase == 1 {
-            self.phase1_trail(&pkt)
-        } else {
-            Self::phase0_trail(&pkt)
-        };
         if pkt.phase == 1 && node == pkt.dest as usize {
+            let trail = handle;
             self.modules
                 .buffer(node, ModuleRequest::Read { addr, trail });
             out.deliver(pkt);
@@ -407,38 +404,32 @@ impl Protocol for StarRequestProtocol<'_> {
             .canonical_next_port(node, target)
             .expect("target not yet reached");
         pkt.prev = node as u32;
+        pkt.via2 = handle;
         out.send(port, pkt);
     }
 }
 
 /// Reply protocol: unwind the shared tree, then every chained private
-/// trail, delivering at `local` marks.
+/// trail, delivering at `local` marks. A reply packet carries the handle
+/// of the entry to take in `via` and the value read in `tag`.
 struct StarReplyProtocol<'a> {
-    star: StarGraph,
     tables: &'a mut PendingTables,
-    read_values: &'a HashMap<u64, u64>,
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
 impl StarReplyProtocol<'_> {
-    fn process_trail(&mut self, node: usize, addr: u64, trail: u32, pkt: Packet, out: &mut Outbox) {
-        let entry = self.tables.take(node, addr, trail);
+    fn process_trail(&mut self, node: usize, handle: Handle, pkt: Packet, out: &mut Outbox) {
+        let entry = self.tables.take(handle);
         if entry.local {
-            self.deliveries.push((node, self.read_values[&addr]));
+            self.deliveries.push((node, pkt.tag));
         }
         let mut chains = entry.chains;
-        while let Some(t) = self.tables.next(&mut chains) {
-            self.process_trail(node, addr, t, pkt, out);
+        while let Some((_, child)) = self.tables.next(&mut chains) {
+            self.process_trail(node, child, pkt, out);
         }
         let mut fanout = entry.fanout;
-        while let Some(to) = self.tables.next(&mut fanout) {
-            let port = self
-                .star
-                .port_to(node, to as usize)
-                .expect("star is undirected");
-            let mut p = pkt;
-            p.via = trail;
-            out.send(port, p);
+        while let Some((port, child)) = self.tables.next(&mut fanout) {
+            out.send(port as usize, pkt.with_via(child));
         }
     }
 }
@@ -446,7 +437,7 @@ impl StarReplyProtocol<'_> {
 impl Protocol for StarReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let before = out.pending_sends();
-        self.process_trail(node, pkt.tag, pkt.via, pkt, out);
+        self.process_trail(node, pkt.via, pkt, out);
         if out.pending_sends() == before {
             out.deliver(pkt); // leaf: nothing forwarded
         }
@@ -562,5 +553,28 @@ mod tests {
             (rep.network_steps(), emu.memory_image(24))
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn only_shared_addresses_are_indexed() {
+        let mut emu = StarPramEmulator::new(4, AccessMode::Crew, 48, EmulatorConfig::default());
+        for a in 0..48 {
+            let m = emu.module_of(a);
+            emu.modules.poke(m, a, 100 + a);
+        }
+        let ops: Vec<MemOp> = (0..24).map(|p| MemOp::Read(p as u64)).collect();
+        let mut reads = emu.emulate_step(&ops, 0);
+        reads.sort_unstable();
+        let want: Vec<(usize, u64)> = (0..24).map(|p| (p, 100 + p as u64)).collect();
+        assert_eq!(reads, want);
+        assert_eq!(emu.tables.indexed_addrs().count(), 0);
+        let hot = |p: usize| if p.is_multiple_of(3) { 30 } else { p as u64 };
+        let ops: Vec<MemOp> = (0..24).map(|p| MemOp::Read(hot(p))).collect();
+        let mut reads = emu.emulate_step(&ops, 1);
+        reads.sort_unstable();
+        let want: Vec<(usize, u64)> = (0..24).map(|p| (p, 100 + hot(p))).collect();
+        assert_eq!(reads, want);
+        let indexed: std::collections::BTreeSet<u64> = emu.tables.indexed_addrs().collect();
+        assert_eq!(indexed, [30].into());
     }
 }

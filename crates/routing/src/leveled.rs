@@ -50,6 +50,19 @@ impl<L: Leveled> DoubledLeveled<L> {
     pub fn inner(&self) -> &L {
         &self.inner
     }
+
+    /// The inner level that doubled level `level < 2ℓ` repeats (a compare
+    /// and subtract instead of a division on every hop).
+    #[inline]
+    fn inner_level(&self, level: usize) -> usize {
+        let l = self.inner.levels();
+        debug_assert!(level < 2 * l, "level {level} outside the doubled network");
+        if level >= l {
+            level - l
+        } else {
+            level
+        }
+    }
 }
 
 impl<L: Leveled> Leveled for DoubledLeveled<L> {
@@ -63,14 +76,16 @@ impl<L: Leveled> Leveled for DoubledLeveled<L> {
         self.inner.degree()
     }
     fn succ(&self, level: usize, idx: usize, digit: usize) -> usize {
-        self.inner.succ(level % self.inner.levels(), idx, digit)
+        self.inner.succ(self.inner_level(level), idx, digit)
     }
     fn digit_toward(&self, level: usize, idx: usize, dest: usize) -> usize {
-        self.inner
-            .digit_toward(level % self.inner.levels(), idx, dest)
+        self.inner.digit_toward(self.inner_level(level), idx, dest)
     }
     fn pred(&self, level: usize, idx: usize, digit: usize) -> usize {
-        self.inner.pred(level % self.inner.levels(), idx, digit)
+        self.inner.pred(self.inner_level(level), idx, digit)
+    }
+    fn pred_digit(&self, level: usize, idx: usize, from: usize) -> usize {
+        self.inner.pred_digit(self.inner_level(level), idx, from)
     }
     fn name(&self) -> String {
         format!("doubled[{}]", self.inner.name())
@@ -348,6 +363,22 @@ mod tests {
             }
         }
         audit_unique_paths(&RadixButterfly::new(2, 3)).unwrap();
+    }
+
+    #[test]
+    fn doubled_pred_digit_inverts_pred_on_both_halves() {
+        fn check<L: Leveled>(d: DoubledLeveled<L>) {
+            for level in 0..d.levels() {
+                for idx in 0..d.width() {
+                    for g in 0..d.degree() {
+                        let from = d.pred(level, idx, g);
+                        assert_eq!(d.pred_digit(level, idx, from), g, "{}", d.name());
+                    }
+                }
+            }
+        }
+        check(DoubledLeveled::new(RadixButterfly::new(3, 2)));
+        check(DoubledLeveled::new(UnrolledShuffle::new(3, 3)));
     }
 
     #[test]

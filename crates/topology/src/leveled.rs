@@ -37,6 +37,16 @@ pub trait Leveled: Sync {
     /// Short name, e.g. `butterfly(r=2,k=10)`.
     fn name(&self) -> String;
 
+    /// The inverse of [`Self::pred`]: the digit `g` with
+    /// `pred(level, idx, g) == from`, i.e. the backward port from
+    /// `(level+1, idx)` to its in-neighbour `(level, from)`. The default
+    /// scans the digits; instances override it with a closed form.
+    fn pred_digit(&self, level: usize, idx: usize, from: usize) -> usize {
+        (0..self.degree())
+            .find(|&g| self.pred(level, idx, g) == from)
+            .expect("`from` is an in-neighbour of `(level+1, idx)`")
+    }
+
     /// Follow the unique path from `(0, src)` to `(levels, dest)`; returns
     /// the column-by-column node indices (length `levels()+1`).
     fn unique_path(&self, src: usize, dest: usize) -> Vec<usize> {
@@ -52,7 +62,8 @@ pub trait Leveled: Sync {
     }
 }
 
-/// Exhaustively verify the unique-path property and succ/pred consistency.
+/// Exhaustively verify the unique-path property, succ/pred consistency and
+/// that `pred_digit` inverts `pred`.
 /// Quadratic in `width` — for tests and audits of small instances.
 pub fn audit_unique_paths<L: Leveled + ?Sized>(lv: &L) -> Result<(), String> {
     let (w, d, ell) = (lv.width(), lv.degree(), lv.levels());
@@ -109,6 +120,15 @@ pub fn audit_unique_paths<L: Leveled + ?Sized>(lv: &L) -> Result<(), String> {
                 return Err(format!(
                     "pred mismatch at level {level}, node {idx}: {back:?} vs {fwd_preds:?}"
                 ));
+            }
+            // 4. pred_digit inverts pred.
+            for g in 0..d {
+                let got = lv.pred_digit(level, idx, lv.pred(level, idx, g));
+                if got != g {
+                    return Err(format!(
+                        "pred_digit at level {level}, node {idx} maps digit {g} to {got}"
+                    ));
+                }
             }
         }
     }
@@ -185,6 +205,10 @@ impl Leveled for RadixButterfly {
         let old = self.digit_of(idx, level);
         idx - old * self.pow[level] + digit * self.pow[level]
     }
+    #[inline]
+    fn pred_digit(&self, level: usize, _idx: usize, from: usize) -> usize {
+        self.digit_of(from, level)
+    }
     fn name(&self) -> String {
         format!("butterfly(r={},k={})", self.radix, self.dims)
     }
@@ -201,6 +225,8 @@ pub struct UnrolledShuffle {
     n: usize,
     width: usize,
     top: usize, // d^(n-1)
+    /// d^j for j in 0..n, precomputed (`d ≥ 2`, so `n < 64`).
+    pow: [usize; 64],
 }
 
 impl UnrolledShuffle {
@@ -208,7 +234,9 @@ impl UnrolledShuffle {
     pub fn new(d: usize, n: usize) -> Self {
         assert!(d >= 2 && n >= 1);
         let mut width = 1usize;
-        for _ in 0..n {
+        let mut pow = [0usize; 64];
+        for p in pow.iter_mut().take(n) {
+            *p = width;
             width = width.checked_mul(d).expect("d^n overflows usize");
         }
         UnrolledShuffle {
@@ -216,6 +244,7 @@ impl UnrolledShuffle {
             n,
             width,
             top: width / d,
+            pow,
         }
     }
 
@@ -243,16 +272,16 @@ impl Leveled for UnrolledShuffle {
     #[inline]
     fn digit_toward(&self, level: usize, _idx: usize, dest: usize) -> usize {
         // The digit chosen at level j ends up as base-d digit j of dest.
-        let mut v = dest;
-        for _ in 0..level {
-            v /= self.d;
-        }
-        v % self.d
+        dest / self.pow[level] % self.d
     }
     #[inline]
     fn pred(&self, _level: usize, idx: usize, digit: usize) -> usize {
         // idx = t*top + u/d  =>  u = (idx mod top)*d + digit
         (idx % self.top) * self.d + digit
+    }
+    #[inline]
+    fn pred_digit(&self, _level: usize, _idx: usize, from: usize) -> usize {
+        from % self.d
     }
     fn name(&self) -> String {
         format!("shuffle-leveled(d={},n={})", self.d, self.n)
@@ -444,6 +473,40 @@ mod tests {
         assert_eq!(s.digit_toward(0, 99, dest), 2);
         assert_eq!(s.digit_toward(1, 99, dest), 3);
         assert_eq!(s.digit_toward(2, 99, dest), 1);
+    }
+
+    #[test]
+    fn shuffle_digit_toward_matches_the_division_loop() {
+        for (d, n) in [(3usize, 3usize), (4, 3)] {
+            let s = UnrolledShuffle::new(d, n);
+            for level in 0..n {
+                for dest in 0..s.width() {
+                    let mut v = dest;
+                    for _ in 0..level {
+                        v /= d;
+                    }
+                    assert_eq!(s.digit_toward(level, 0, dest), v % d, "d={d} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shuffle_pred_digit_is_the_low_digit() {
+        let s = UnrolledShuffle::new(3, 3);
+        // pred(_, 22, g) = (22 mod 9)·3 + g = 12 + g.
+        assert_eq!(s.pred(1, 22, 2), 14);
+        assert_eq!(s.pred_digit(1, 22, 14), 2);
+        assert_eq!(s.pred_digit(0, 22, 12), 0);
+    }
+
+    #[test]
+    fn butterfly_pred_digit_is_the_level_digit() {
+        let b = RadixButterfly::new(3, 3);
+        // pred(1, 5, g) sets digit 1 of 5 = (0 1 2)₃ to g.
+        assert_eq!(b.pred(1, 5, 2), 8);
+        assert_eq!(b.pred_digit(1, 5, 8), 2);
+        assert_eq!(b.pred_digit(2, 5, 23), 2);
     }
 
     #[test]

@@ -128,6 +128,19 @@ fn leveled_shuffle_rehash_schedule_is_pinned() {
     );
 }
 
+/// Combining off: every pending entry is opened without the index.
+#[test]
+fn leveled_shuffle_uncombined_schedule_is_pinned() {
+    let cfg = EmulatorConfig {
+        combining: false,
+        ..EmulatorConfig::default()
+    };
+    assert_eq!(
+        leveled(cfg),
+        golden("leveled UnrolledShuffle(3,3) combining off")
+    );
+}
+
 #[test]
 fn star_schedule_is_pinned() {
     assert_eq!(star(EmulatorConfig::default()), golden("star n=4"));
